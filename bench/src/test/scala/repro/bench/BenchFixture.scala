@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.Prost
 import repro.harness.BenchEnv
 
 /** One benchmark environment per JVM: stores are built (and their load
@@ -9,10 +10,9 @@ import repro.harness.BenchEnv
 object BenchFixture {
   lazy val env: BenchEnv = BenchEnv.default(SparkSpec.shared)
 
-  /** Per-system timings of the full 20-query set, computed once. */
-  lazy val prostTimings    = env.runAll(q => env.prostLoad._1.query(q, vpOnly = false))
-  lazy val prostVpTimings  = env.runAll(q => env.prostLoad._1.query(q, vpOnly = true))
-  lazy val s2rdfTimings    = env.runAll(env.s2rdfLoad._1.query)
-  lazy val ryaTimings      = env.runAll(env.ryaLoad._1.query)
-  lazy val sparqlGxTimings = env.runAll(env.gxLoad._1.query)
+  /** Every system's timings of the full 20-query set, computed once. */
+  lazy val timings = env.runSystems()
+
+  lazy val prostTimings = timings.toMap.apply("PRoST")
+  lazy val prostVpTimings = env.runAll(env.load(Prost)._1.vpOnlyEngine)
 }

@@ -14,12 +14,10 @@ import repro.SparkSpec
 class Table2Bench extends SparkSpec {
   import BenchFixture._
 
-  private lazy val results = Seq(
-    "PRoST"    -> prostTimings,
-    "S2RDF"    -> s2rdfTimings,
-    "Rya"      -> ryaTimings,
-    "SPARQLGX" -> sparqlGxTimings,
-  )
+  private lazy val results = timings
+  private lazy val sparqlGxTimings = results.toMap.apply("SPARQLGX")
+  private lazy val s2rdfTimings = results.toMap.apply("S2RDF")
+  private lazy val ryaTimings = results.toMap.apply("Rya")
 
   test("Table 2: run the query set on all four systems and print the table") {
     println(env.table2String(results))

@@ -12,13 +12,7 @@ object QueryTableJob {
     val spark = JobSession.create("prost-table2-querying")
     val scale = args.headOption.map(_.toDouble).getOrElse(BenchEnv.defaultScale)
     val env = new BenchEnv(spark, scale, "target/bench-job")
-    val results = Seq(
-      "PRoST"    -> env.runAll(q => env.prostLoad._1.query(q, vpOnly = false)),
-      "S2RDF"    -> env.runAll(env.s2rdfLoad._1.query),
-      "Rya"      -> env.runAll(env.ryaLoad._1.query),
-      "SPARQLGX" -> env.runAll(env.gxLoad._1.query),
-    )
-    println(env.table2String(results))
+    println(env.table2String(env.runSystems()))
     spark.stop()
   }
 }

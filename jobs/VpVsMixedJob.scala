@@ -1,5 +1,6 @@
 package repro.jobs
 
+import repro.core.Prost
 import repro.harness.{BenchEnv, JobSession}
 
 /** spark-submit entrypoint reproducing the paper's **Figure 2** comparison
@@ -12,9 +13,9 @@ object VpVsMixedJob {
     val spark = JobSession.create("prost-fig2-vp-vs-mixed")
     val scale = args.headOption.map(_.toDouble).getOrElse(BenchEnv.defaultScale)
     val env = new BenchEnv(spark, scale, "target/bench-job")
-    val db = env.prostLoad._1
-    val vpOnly = env.runAll(q => db.query(q, vpOnly = true))
-    val mixed  = env.runAll(q => db.query(q, vpOnly = false))
+    val db = env.load(Prost)._1
+    val vpOnly = env.runAll(db.vpOnlyEngine)
+    val mixed  = env.runAll(db)
     println(env.vpVsMixedString(vpOnly, mixed))
     spark.stop()
   }

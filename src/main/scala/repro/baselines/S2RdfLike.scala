@@ -1,10 +1,15 @@
 package repro.baselines
 
+import java.nio.file.{Files, Paths}
+
+import scala.jdk.StreamConverters._
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.GraphStats
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
+import repro.core.{Bindings, Engine, GraphStats, VpStore}
+import repro.sparql.{BgpQuery, TriplePattern, Var}
+import repro.util.Tsv
 
 /** Behaviour-faithful S2RDF stand-in (Schätzle et al., VLDB 2016).
   *
@@ -20,64 +25,33 @@ import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
   * OO is not materialised; patterns joining object–object fall back to VP.
   */
 final class S2RdfLike(
-    val spark: SparkSession,
-    vp: Map[String, DataFrame],
-    ext: Map[String, DataFrame],          // position -> (p1, p2, s, o)
-    vpSizes: Map[String, Long],
+    vp: VpStore,
+    stats: GraphStats,
+    ext: Map[String, DataFrame],                   // position -> (p1, p2, s, o)
     extSizes: Map[(String, String, String), Long], // (pos, p1, p2) -> rows
-) {
+) extends Engine {
 
-  import S2RdfLike.{Positions, emptySo}
-
-  /** The precomputed reduction of `p1` against `p2` at `pos`, if any. */
-  private def extTable(pos: String, p1: String, p2: String): Option[DataFrame] =
-    extSizes.get((pos, p1, p2)).map { _ =>
-      ext(pos).where(col("p1") === p1 && col("p2") === p2).select("s", "o")
-    }
+  val name: String = S2RdfLike.name
 
   /** Pick the smallest applicable table for pattern `tp` within `query`:
     * every other pattern sharing a variable offers a candidate reduction;
     * the smallest one wins, VP is the fallback.
     */
   private[baselines] def chooseTable(tp: TriplePattern, query: BgpQuery): (DataFrame, Long) = {
-    val vpTable = vp.getOrElse(tp.p.value, emptySo(spark))
-    val vpSize = vpSizes.getOrElse(tp.p.value, 0L)
+    val p1 = tp.p.value
+    val vpSize = stats(p1).tripleCount
     val candidates = for {
       other <- query.patterns if other ne tp
       pos <- Seq(
         (tp.s, other.s, "SS"), (tp.s, other.o, "SO"), (tp.o, other.s, "OS"),
       ).collect { case (a: Var, b: Var, p) if a == b => p }
-      size <- extSizes.get((pos, tp.p.value, other.p.value))
+      size <- extSizes.get((pos, p1, other.p.value))
     } yield (pos, other.p.value, size)
-    if (candidates.isEmpty) (vpTable, vpSize)
-    else {
-      val (pos, p2, size) = candidates.minBy(_._3)
-      if (size < vpSize) (extTable(pos, tp.p.value, p2).get, size) else (vpTable, vpSize)
+    candidates.minByOption(_._3) match {
+      case Some((pos, p2, size)) if size < vpSize =>
+        (ext(pos).where(col("p1") === p1 && col("p2") === p2).select("s", "o"), size)
+      case _ => (vp.tableFor(p1), vpSize)
     }
-  }
-
-  /** Bindings DataFrame for one pattern from its chosen `(s, o)` table. */
-  private def evalPattern(tp: TriplePattern, table: DataFrame): DataFrame = {
-    var df = table
-    (tp.s, tp.o) match {
-      case (sv: Var, ov: Var) if sv == ov => df = df.where(col("s") === col("o"))
-      case _                               => ()
-    }
-    tp.s match {
-      case Iri(c) => df = df.where(col("s") === c)
-      case Lit(c) => df = df.where(col("s") === c)
-      case _      => ()
-    }
-    tp.o match {
-      case Iri(c) => df = df.where(col("o") === c)
-      case Lit(c) => df = df.where(col("o") === c)
-      case _      => ()
-    }
-    val cols = Seq(
-      tp.s match { case Var(n) => Some(col("s") as n); case _ => None },
-      tp.o match { case Var(n) if tp.o != tp.s => Some(col("o") as n); case _ => None },
-    ).flatten
-    if (cols.isEmpty) df.select(lit(true) as "__ground") else df.select(cols: _*)
   }
 
   /** Run a query: per-pattern table selection, then size-ordered,
@@ -86,84 +60,23 @@ final class S2RdfLike(
   def query(q: BgpQuery): DataFrame = {
     val chosen: Map[TriplePattern, (DataFrame, Long)] =
       q.patterns.map(tp => tp -> chooseTable(tp, q)).toMap
-    def weight(tp: TriplePattern): Double = {
-      var w = chosen(tp)._2.toDouble
-      if (!tp.s.isVariable) w *= 0.01
-      if (!tp.o.isVariable) w *= 0.01
-      w
-    }
-    val remaining = scala.collection.mutable.ArrayBuffer(q.patterns: _*)
-    var acc: DataFrame = null
-    var bound = Set.empty[Var]
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_.variables.exists(bound.contains))
-      val pool = if (acc == null || connected.isEmpty) remaining.toSeq else connected.toSeq
-      val next = pool.minBy(weight)
-      remaining -= next
-      val df = evalPattern(next, chosen(next)._1)
-      acc =
-        if (acc == null) df
-        else {
-          val shared = acc.columns.toSeq.intersect(df.columns.toSeq)
-          if (shared.isEmpty) acc.crossJoin(df) else acc.join(df, shared, "inner")
-        }
-      bound ++= next.variables
-    }
-    val out = acc.select(q.effectiveProjection.map(v => col(v.name)): _*)
-    if (q.distinct) out.distinct() else out
+    val ordered = Bindings.greedyOrder(q.patterns)(tp => Bindings.discountConstants(chosen(tp)._2, tp))
+    val joined = ordered.map(tp => Bindings.ofPattern(tp, chosen(tp)._1)).reduceLeft(Bindings.join)
+    Bindings.project(joined, q.effectiveProjection, q.distinct)
   }
 }
 
-object S2RdfLike {
+object S2RdfLike extends Engine.Store[S2RdfLike] {
+
+  val name = "S2RDF"
 
   val Positions: Seq[String] = Seq("SS", "SO", "OS")
-
-  private def emptySo(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("s", StringType), StructField("o", StringType))),
-    )
-  }
-
-  /** The ExtVP precomputation, as three bulk self-joins producing
-    * `(p1, p2, s, o)` tables (one per position). Joining against the
-    * *distinct* partner keys makes each output row a semi-join survivor,
-    * no dedup needed.
-    */
-  private def extTables(triples: DataFrame): Map[String, DataFrame] = {
-    val t = triples
-    val bySubject = t.select(col("p") as "p2", col("s") as "k").distinct()
-    val byObject  = t.select(col("p") as "p2", col("o") as "k").distinct()
-    val left = t.select(col("p") as "p1", col("s"), col("o"))
-    Map(
-      "SS" -> left.join(bySubject, left("s") === bySubject("k") && col("p1") =!= col("p2"))
-                  .select("p1", "p2", "s", "o"),
-      "SO" -> left.join(byObject, left("s") === byObject("k"))
-                  .select("p1", "p2", "s", "o"),
-      "OS" -> left.join(bySubject, left("o") === bySubject("k"))
-                  .select("p1", "p2", "s", "o"),
-    )
-  }
 
   private def sizesOf(ext: Map[String, DataFrame]): Map[(String, String, String), Long] =
     ext.flatMap { case (pos, df) =>
       df.groupBy("p1", "p2").count().collect()
         .map(r => (pos, r.getString(0), r.getString(1)) -> r.getLong(2))
     }
-
-  /** In-memory build (tests): lazy views; the ExtVP sizes still have to be
-    * computed eagerly because table selection needs them.
-    */
-  def build(triples: DataFrame): S2RdfLike = {
-    val spark = triples.sparkSession
-    val stats = GraphStats.compute(triples)
-    val vp = stats.predicates.map(p =>
-      p -> triples.where(col("p") === p).select("s", "o")).toMap
-    val ext = extTables(triples).map { case (k, df) => k -> df.cache() }
-    new S2RdfLike(spark, vp, ext,
-      stats.predicates.map(p => p -> stats(p).tripleCount).toMap, sizesOf(ext))
-  }
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
     * families + stats + size metadata.
@@ -174,19 +87,16 @@ object S2RdfLike {
     * makes its loading phase an order of magnitude slower than everyone
     * else's in the paper's Table 1.
     */
-  def writeTo(triples: DataFrame, dir: String): Unit = {
+  protected def write(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
-    repro.core.VpStore.write(cached, stats, s"$dir/vp")
+    VpStore.write(cached, stats, s"$dir/vp")
 
     val bySubject = cached.select(col("p") as "p2", col("s") as "k").distinct().cache()
     val byObject  = cached.select(col("p") as "p2", col("o") as "k").distinct().cache()
     for (pos <- Positions) {
-      val out = java.nio.file.Paths.get(s"$dir/extvp_$pos")
-      if (java.nio.file.Files.exists(out)) {
-        import scala.jdk.StreamConverters._
-        java.nio.file.Files.walk(out).toScala(Seq).reverse.foreach(java.nio.file.Files.delete)
-      }
+      val out = Paths.get(s"$dir/extvp_$pos")
+      if (Files.exists(out)) Files.walk(out).toScala(Seq).reverse.foreach(Files.delete)
     }
     stats.predicates.foreach { p1 =>
       val left = cached.where(col("p") === p1)
@@ -199,34 +109,22 @@ object S2RdfLike {
       append("OS", left.join(bySubject, left("o") === bySubject("k")))
     }
     bySubject.unpersist(); byObject.unpersist()
-    val loadedExt = Positions.map(pos =>
-      pos -> cached.sparkSession.read.parquet(s"$dir/extvp_$pos")).toMap
-    val sizes = sizesOf(loadedExt)
-    val sizeLines = sizes.toSeq.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
-      s"$pos\t$p1\t$p2\t$n"
-    }
-    java.nio.file.Files.write(
-      java.nio.file.Paths.get(s"$dir/ext_sizes.tsv"),
-      scala.jdk.CollectionConverters.SeqHasAsJava(sizeLines).asJava,
-      java.nio.charset.StandardCharsets.UTF_8)
-    repro.core.Prost.writeStats(stats, s"$dir/stats.tsv")
+    val sizes = sizesOf(Positions.map(pos =>
+      pos -> cached.sparkSession.read.parquet(s"$dir/extvp_$pos")).toMap)
+    Tsv.write(s"$dir/ext_sizes.tsv", sizes.toSeq.sortBy(_.toString).map {
+      case ((pos, p1, p2), n) => Seq(pos, p1, p2, n)
+    })
+    GraphStats.write(stats, s"$dir/stats.tsv")
     cached.unpersist()
-    ()
   }
 
   /** Open a store written by [[writeTo]]. */
   def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
-    val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
-    val vpStore = repro.core.VpStore.load(spark, s"$dir/vp", stats.predicates)
-    val vp = stats.predicates.map(p => p -> vpStore.tableFor(p)).toMap
+    val stats = GraphStats.read(s"$dir/stats.tsv")
     val ext = Positions.map(pos => pos -> spark.read.parquet(s"$dir/extvp_$pos")).toMap
-    val sizes = scala.jdk.CollectionConverters.ListHasAsScala(
-      java.nio.file.Files.readAllLines(java.nio.file.Paths.get(s"$dir/ext_sizes.tsv"))
-    ).asScala.filter(_.nonEmpty).map { line =>
-      val Array(pos, p1, p2, n) = line.split("\t")
+    val sizes = Tsv.read(s"$dir/ext_sizes.tsv", 4) { case Array(pos, p1, p2, n) =>
       (pos, p1, p2) -> n.toLong
     }.toMap
-    new S2RdfLike(spark, vp, ext,
-      stats.predicates.map(p => p -> stats(p).tripleCount).toMap, sizes)
+    new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats.predicates), stats, ext, sizes)
   }
 }

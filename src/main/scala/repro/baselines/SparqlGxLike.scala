@@ -2,11 +2,11 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, concat_ws}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
-import repro.core.GraphStats
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
+import repro.core.{Bindings, Engine, GraphStats}
+import repro.sparql.{BgpQuery, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
   *
@@ -24,8 +24,10 @@ import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 final class SparqlGxLike(
     spark: SparkSession,
     tables: Map[String, RDD[(String, String)]],
-    counts: Map[String, Long],
-) {
+    stats: GraphStats,
+) extends Engine {
+
+  val name: String = SparqlGxLike.name
 
   private def emptyRdd: RDD[(String, String)] =
     spark.sparkContext.emptyRDD[(String, String)]
@@ -34,34 +36,15 @@ final class SparqlGxLike(
     * the estimate sharply; each next pattern must share a variable with
     * the already-joined set when possible.
     */
-  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] = {
-    def weight(tp: TriplePattern): Double = {
-      var w = counts.getOrElse(tp.p.value, 0L).toDouble
-      if (!tp.s.isVariable) w *= 0.01
-      if (!tp.o.isVariable) w *= 0.01
-      w
-    }
-    val remaining = scala.collection.mutable.ArrayBuffer(patterns: _*)
-    val ordered = Vector.newBuilder[TriplePattern]
-    var bound = Set.empty[Var]
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_.variables.exists(bound.contains))
-      val pool = if (bound.isEmpty || connected.isEmpty) remaining.toSeq else connected.toSeq
-      val next = pool.minBy(weight)
-      remaining -= next
-      ordered += next
-      bound ++= next.variables
-    }
-    ordered.result()
-  }
+  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] =
+    Bindings.greedyOrder(patterns)(tp => Bindings.discountConstants(stats(tp.p.value).tripleCount, tp))
 
   /** Evaluate one pattern to an RDD of variable bindings. */
   private def evalPattern(tp: TriplePattern): RDD[Map[String, String]] = {
-    val base = tables.getOrElse(tp.p.value, emptyRdd)
-    val filtered = base.filter { case (s, o) =>
-      (tp.s match { case Iri(c) => s == c; case Lit(c) => s == c; case _: Var => true }) &&
-      (tp.o match { case Iri(c) => o == c; case Lit(c) => o == c; case _: Var => true }) &&
-      (tp.s match { case v: Var if tp.o == v => s == o; case _ => true })
+    val (sConst, oConst) = (Bindings.constant(tp.s), Bindings.constant(tp.o))
+    val selfJoin = tp.s.isVariable && tp.s == tp.o
+    val filtered = tables.getOrElse(tp.p.value, emptyRdd).filter { case (s, o) =>
+      sConst.forall(_ == s) && oConst.forall(_ == o) && (!selfJoin || s == o)
     }
     filtered.map { case (s, o) =>
       val m1 = tp.s match { case Var(n) => Map(n -> s); case _ => Map.empty[String, String] }
@@ -105,35 +88,24 @@ final class SparqlGxLike(
   }
 }
 
-object SparqlGxLike {
+object SparqlGxLike extends Engine.Store[SparqlGxLike] {
 
-  /** In-memory build (tests): RDD views over the triples DataFrame. */
-  def build(triples: DataFrame): SparqlGxLike = {
-    val spark = triples.sparkSession
-    val stats = GraphStats.compute(triples)
-    val tables = stats.predicates.map { p =>
-      p -> triples.where(col("p") === p).select("s", "o")
-        .rdd.map(r => (r.getString(0), r.getString(1)))
-    }.toMap
-    new SparqlGxLike(spark, tables, stats.predicates.map(p => p -> stats(p).tripleCount).toMap)
-  }
+  val name = "SPARQLGX"
 
   /** SPARQLGX loading phase: per-predicate gzip **text** directories (one
     * partitioned write) + a stats file. This is the path timed/measured for
     * Table 1; text is what keeps SPARQLGX's footprint the smallest.
     */
-  def writeTo(triples: DataFrame, dir: String): Unit = {
+  protected def write(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
     cached
-      .select(org.apache.spark.sql.functions.concat_ws("\t", col("s"), col("o")) as "value",
-              col("p"))
+      .select(concat_ws("\t", col("s"), col("o")) as "value", col("p"))
       .repartition(col("p"))
       .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
       .text(s"$dir/data")
-    repro.core.Prost.writeStats(stats, s"$dir/stats.tsv")
+    GraphStats.write(stats, s"$dir/stats.tsv")
     cached.unpersist()
-    ()
   }
 
   /** Open a store written by [[writeTo]]. Partition pruning limits each
@@ -141,7 +113,7 @@ object SparqlGxLike {
     * RDD-level, as in SPARQLGX's generated code.
     */
   def loadFrom(spark: SparkSession, dir: String): SparqlGxLike = {
-    val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
+    val stats = GraphStats.read(s"$dir/stats.tsv")
     val data = spark.read.text(s"$dir/data")
     val tables = stats.predicates.map { p =>
       p -> data.where(col("p") === p).select("value").rdd.map { r =>
@@ -150,6 +122,6 @@ object SparqlGxLike {
         (line.substring(0, i), line.substring(i + 1))
       }
     }.toMap
-    new SparqlGxLike(spark, tables, stats.predicates.map(p => p -> stats(p).tripleCount).toMap)
+    new SparqlGxLike(spark, tables, stats)
   }
 }

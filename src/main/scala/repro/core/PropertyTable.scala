@@ -14,8 +14,8 @@ import repro.util.Names
   *   - multi-valued predicates become `array<string>` columns (empty array
   *     when absent), flattened with `explode` at query time — the overhead
   *     the paper accepts in exchange for saving joins;
-  *   - the table is horizontally partitioned on the subject column before
-  *     writing, the paper's trick to keep each subject's row on one node;
+  *   - the paper also partitions the table horizontally on the subject
+  *     column; see [[PropertyTable.write]] for why that is not realised;
   *   - Parquet's run-length encoding absorbs the NULL-heavy layout.
   *
   * @param df          the wide table; column `s` plus one column per predicate
@@ -57,10 +57,10 @@ object PropertyTable {
     PropertyTable(shaped, names, multi)
   }
 
-  /** Write the PT as Parquet. The paper's horizontal partitioning on the
-    * subject column is already satisfied: `groupBy(s)` hash-partitions the
-    * wide table by subject, so every subject's row lands whole in one
-    * partition file.
+  /** Write the PT as Parquet. `groupBy(s)` hash-partitions the wide table
+    * by subject before the write, but that partitioning is not preserved:
+    * a reloaded PT is plain Parquet, so Spark plans an exchange again for
+    * a join on `s`. The paper's subject partitioning is not realised yet.
     */
   def write(pt: PropertyTable, dir: String): Unit =
     pt.df.write.mode("overwrite").parquet(dir)

@@ -1,9 +1,5 @@
 package repro.core
 
-import java.nio.file.{Files, Paths}
-import java.nio.charset.StandardCharsets
-import scala.jdk.CollectionConverters._
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.sparql.{BgpQuery, SparqlParser}
@@ -16,9 +12,11 @@ final class ProstDb(
     val vp: VpStore,
     val pt: PropertyTable,
     val stats: GraphStats,
-) {
+) extends Engine {
   private val translator = new Translator(stats)
   private val executor = new Executor(vp, pt)
+
+  val name: String = Prost.name
 
   /** Translate a parsed BGP into the Join Tree (exposed for tests/benches). */
   def plan(query: BgpQuery, vpOnly: Boolean = false): JoinTree =
@@ -30,47 +28,40 @@ final class ProstDb(
   def query(query: BgpQuery, vpOnly: Boolean): DataFrame =
     executor.execute(plan(query, vpOnly))
 
+  /** Run a parsed BGP with the mixed VP + PT strategy. */
+  def query(q: BgpQuery): DataFrame = query(q, vpOnly = false)
+
   /** Parse and run a SPARQL string with the mixed VP + PT strategy. */
   def query(sparql: String): DataFrame =
     query(SparqlParser.parse(sparql), vpOnly = false)
 
-  /** Parse and run a SPARQL string, optionally VP-only. */
-  def query(sparql: String, vpOnly: Boolean): DataFrame =
-    query(SparqlParser.parse(sparql), vpOnly)
+  /** The same store answering with VP tables only. */
+  lazy val vpOnlyEngine: Engine = new Engine {
+    val name = "PRoST VP-only"
+    def query(q: BgpQuery): DataFrame = ProstDb.this.query(q, vpOnly = true)
+  }
 }
 
-/** PRoST loading phase: build both partitionings plus the statistics, in
-  * memory (tests) or on disk (the paper's loading experiment, Table 1).
+/** PRoST loading phase: both partitionings plus the statistics, on disk
+  * (the paper's loading experiment, Table 1).
   */
-object Prost {
+object Prost extends Engine.Store[ProstDb] {
 
-  /** In-memory load: VP/PT are lazy views over `triples`. */
-  def loadInMemory(triples: DataFrame): ProstDb = {
-    val stats = GraphStats.compute(triples)
-    new ProstDb(
-      triples.sparkSession,
-      VpStore.build(triples, stats),
-      PropertyTable.build(triples, stats),
-      stats,
-    )
-  }
+  val name = "PRoST"
 
-  /** Full on-disk load under `dir`: VP Parquet tables, PT Parquet, stats
-    * metadata. This is the code path timed by the Table 1 benchmark.
-    */
-  def writeTo(triples: DataFrame, dir: String): ProstDb = {
+  /** VP Parquet tables, PT Parquet and the stats metadata under `dir`. */
+  protected def write(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
     VpStore.write(cached, stats, s"$dir/vp")
     PropertyTable.write(PropertyTable.build(cached, stats), s"$dir/pt")
-    writeStats(stats, s"$dir/stats.tsv")
+    GraphStats.write(stats, s"$dir/stats.tsv")
     cached.unpersist()
-    loadFrom(triples.sparkSession, dir)
   }
 
   /** Open a database previously written by [[writeTo]]. */
   def loadFrom(spark: SparkSession, dir: String): ProstDb = {
-    val stats = readStats(s"$dir/stats.tsv")
+    val stats = GraphStats.read(s"$dir/stats.tsv")
     val multi = stats.predicates.filter(stats(_).isMultiValued).toSet
     new ProstDb(
       spark,
@@ -78,29 +69,5 @@ object Prost {
       PropertyTable.load(spark, s"$dir/pt", stats.predicates, multi),
       stats,
     )
-  }
-
-  /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects,
-    * maxPerSubject (one line each). Local filesystem only, like all the
-    * reproduction's storage.
-    */
-  def writeStats(stats: GraphStats, path: String): Unit = {
-    val lines = stats.predicates.map { p =>
-      val st = stats(p)
-      s"$p\t${st.tripleCount}\t${st.distinctSubjects}\t${st.maxPerSubject}"
-    }
-    Files.createDirectories(Paths.get(path).getParent)
-    Files.write(Paths.get(path), lines.asJava, StandardCharsets.UTF_8)
-    ()
-  }
-
-  /** Read stats written by [[writeStats]]. */
-  def readStats(path: String): GraphStats = {
-    val entries = Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8)
-      .asScala.filter(_.nonEmpty).map { line =>
-        val Array(p, c, d, m) = line.split("\t")
-        p -> PredicateStats(p, c.toLong, d.toLong, m.toLong)
-      }
-    GraphStats(entries.toMap)
   }
 }

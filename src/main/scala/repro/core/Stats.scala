@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.util.Tsv
+
 /** Per-predicate statistics, exactly the two measures the paper gathers at
   * load time (Section 3.3): "(1) the total number of triples and (2) the
   * number of distinct subjects for each predicate", plus the maximum
@@ -56,4 +58,21 @@ object GraphStats {
       p -> PredicateStats(p, r.getLong(1), r.getLong(2), r.getLong(3))
     }.toMap)
   }
+
+  /** Persist as `stats.tsv`: one line per predicate with its tripleCount,
+    * distinctSubjects and maxPerSubject. Every store writes this file.
+    */
+  def write(stats: GraphStats, path: String): Unit =
+    Tsv.write(path, stats.predicates.map { p =>
+      val st = stats(p)
+      Seq(p, st.tripleCount, st.distinctSubjects, st.maxPerSubject)
+    })
+
+  /** Read stats written by [[write]]; a malformed line fails naming the
+    * file and the line number.
+    */
+  def read(path: String): GraphStats =
+    GraphStats(Tsv.read(path, 4) { case Array(p, c, d, m) =>
+      p -> PredicateStats(p, c.toLong, d.toLong, m.toLong)
+    }.toMap)
 }

@@ -26,21 +26,11 @@ final class VpStore(
   def tableFor(predicate: String): DataFrame =
     tables.getOrElse(predicate, emptyTable)
 
-  /** Predicates with a (possibly lazily defined) table. */
+  /** Predicates with a table. */
   def predicates: Seq[String] = tables.keys.toSeq.sorted
 }
 
 object VpStore {
-
-  /** In-memory VP store: each table is a filtered view over `triples`
-    * (tests and ad-hoc use; no disk round trip).
-    */
-  def build(triples: DataFrame, stats: GraphStats): VpStore = {
-    val tables = stats.predicates.map { p =>
-      p -> triples.where(col("p") === p).select("s", "o")
-    }.toMap
-    new VpStore(triples.sparkSession, tables)
-  }
 
   /** Write the VP layout — one Parquet directory per predicate — in a
     * single partitioned pass (`partitionBy("p")`), the way a real loader

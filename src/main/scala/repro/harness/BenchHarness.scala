@@ -2,12 +2,13 @@ package repro.harness
 
 import java.nio.file.Paths
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
-import repro.core.{Prost, ProstDb}
+import repro.core.{Engine, Prost}
 import repro.rdf.TripleOps
-import repro.sparql.BgpQuery
 import repro.util.Timing
 import repro.watdiv.{WatDivGen, WatDivQueries}
 
@@ -59,55 +60,41 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
       f"$system%-10s ${Timing.humanBytes(bytes)}%12s ${Timing.humanMillis(millis)}%12s"
   }
 
-  lazy val prostLoad: (ProstDb, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/prost"
-    val (db, ms) = Timing.timed(Prost.writeTo(freshTriples, dir))
-    (db, LoadReport("PRoST", Timing.dirBytes(Paths.get(dir)), ms))
-  }
+  private val loaded = mutable.Map.empty[String, (Engine, LoadReport)]
 
-  lazy val gxLoad: (SparqlGxLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/sparqlgx"
-    val (_, ms) = Timing.timed(SparqlGxLike.writeTo(freshTriples, dir))
-    (SparqlGxLike.loadFrom(spark, dir), LoadReport("SPARQLGX", Timing.dirBytes(Paths.get(dir)), ms))
-  }
-
-  lazy val s2rdfLoad: (S2RdfLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/s2rdf"
-    val (_, ms) = Timing.timed(S2RdfLike.writeTo(freshTriples, dir))
-    (S2RdfLike.loadFrom(spark, dir), LoadReport("S2RDF", Timing.dirBytes(Paths.get(dir)), ms))
-  }
-
-  lazy val ryaLoad: (RyaLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/rya"
-    val (_, ms) = Timing.timed(RyaLike.writeTo(freshTriples, dir))
-    (RyaLike.loadFrom(spark, dir), LoadReport("Rya", Timing.dirBytes(Paths.get(dir)), ms))
-  }
+  /** `system`'s store of the source graph under `baseDir`: written, timed
+    * and measured on first use, then shared.
+    */
+  def load[E <: Engine](system: Engine.Store[E]): (E, LoadReport) =
+    loaded.getOrElseUpdate(system.name, {
+      warmedUp
+      val dir = s"$baseDir/${system.name.toLowerCase}"
+      val (engine, ms) = Timing.timed(system.writeTo(freshTriples, dir))
+      (engine, LoadReport(system.name, Timing.dirBytes(Paths.get(dir)), ms))
+    }).asInstanceOf[(E, LoadReport)] // one entry per system name
 
   /** Table 1 rows, in the paper's order. */
-  def loadReports: Seq[LoadReport] =
-    Seq(prostLoad._2, gxLoad._2, s2rdfLoad._2, ryaLoad._2)
+  def loadReports: Seq[LoadReport] = BenchEnv.Systems.map(load(_)._2)
 
   // ---- querying ----------------------------------------------------------
 
   final case class QueryTiming(query: String, group: String, millis: Long, rows: Long)
 
-  /** Time one query end-to-end (plan + execute + count the result). */
-  def time(name: String, group: String, run: BgpQuery => DataFrame, q: BgpQuery): QueryTiming = {
-    val (rows, ms) = Timing.timed(run(q).count())
-    QueryTiming(name, group, ms, rows)
+  /** Time the whole basic set on `engine`, one run per query (plan +
+    * execute + count the result), after one small warm-up query so
+    * JIT/classloading noise lands outside the measurements.
+    */
+  def runAll(engine: Engine): Seq[QueryTiming] = {
+    engine.query(WatDivQueries.L3.query).count() // warm-up
+    WatDivQueries.All.map { nq =>
+      val (rows, ms) = Timing.timed(engine.query(nq.query).count())
+      QueryTiming(nq.name, nq.group, ms, rows)
+    }
   }
 
-  /** Run the whole basic set through `run`, after one small warm-up query
-    * so JIT/classloading noise lands outside the measurements.
-    */
-  def runAll(run: BgpQuery => DataFrame): Seq[QueryTiming] = {
-    run(WatDivQueries.L3.query).count() // warm-up
-    WatDivQueries.All.map(nq => time(nq.name, nq.group, run, nq.query))
-  }
+  /** [[runAll]] on every system, in [[BenchEnv.Systems]] order. */
+  def runSystems(): Seq[(String, Seq[QueryTiming])] =
+    BenchEnv.Systems.map(system => system.name -> runAll(load(system)._1))
 
   /** Average milliseconds per query group, keyed by group letter. */
   def groupAverages(ts: Seq[QueryTiming]): Map[String, Double] =
@@ -154,6 +141,9 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
 }
 
 object BenchEnv {
+
+  /** The four systems of Tables 1 and 2, in the paper's Table 1 order. */
+  val Systems: Seq[Engine.Store[Engine]] = Seq(Prost, SparqlGxLike, S2RdfLike, RyaLike)
 
   /** Default benchmark scale (~800k triples); override with
     * WATDIV_BENCH_SCALE.

@@ -1,14 +1,17 @@
 package repro
 
+import java.nio.file.Files
+
 import org.apache.spark.sql.DataFrame
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
-import repro.core.{GraphStats, Prost, ProstDb}
+import repro.core.{Engine, GraphStats, Prost, ProstDb}
 import repro.sparql.{BgpQuery, BgpSql}
 import repro.watdiv.WatDivGen
 
 /** Shared fixtures for the whole test run: one small WatDiv-like graph and
-  * one instance of every engine, all lazily built against the shared
+  * one store of every engine, each written through its one load path
+  * (`writeTo`) under a temp dir. All are lazy against the shared
   * SparkSession, so the expensive parts (generation, PT aggregation,
   * ExtVP precomputation) run once per JVM.
   */
@@ -27,13 +30,18 @@ object TestData {
 
   lazy val stats: GraphStats = GraphStats.compute(triples)
 
-  lazy val prost: ProstDb = Prost.loadInMemory(triples)
+  private lazy val storeRoot = Files.createTempDirectory("watdiv-stores").toString
 
-  lazy val sparqlGx: SparqlGxLike = SparqlGxLike.build(triples)
+  /** Where `system`'s store of [[triples]] is written. */
+  def storeDir(system: Engine.Store[Engine]): String = s"$storeRoot/${system.name}"
 
-  lazy val s2rdf: S2RdfLike = S2RdfLike.build(triples)
+  lazy val prost: ProstDb = Prost.writeTo(triples, storeDir(Prost))
 
-  lazy val rya: RyaLike = RyaLike.build(triples)
+  lazy val sparqlGx: SparqlGxLike = SparqlGxLike.writeTo(triples, storeDir(SparqlGxLike))
+
+  lazy val s2rdf: S2RdfLike = S2RdfLike.writeTo(triples, storeDir(S2RdfLike))
+
+  lazy val rya: RyaLike = RyaLike.writeTo(triples, storeDir(RyaLike))
 
   /** Assert `result` matches DuckDB's answer for `query` over the shared
     * graph — the central correctness check of the reproduction.

@@ -3,10 +3,13 @@ package repro.baselines
 import java.nio.file.Files
 
 import repro.{SparkSpec, TestData}
-import repro.sparql.{Iri, Lit, SparqlParser, TriplePattern, Var}
+import repro.sparql.{Iri, Lit, TriplePattern, Var}
 import repro.watdiv.WatDivQueries
 
 class RyaLikeSpec extends SparkSpec {
+
+  /** The store [[TestData.rya]] wrote, shared by the whole run. */
+  private def dir: String = { TestData.rya; TestData.storeDir(RyaLike) }
 
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: Rya-like matches the oracle") {
@@ -45,22 +48,16 @@ class RyaLikeSpec extends SparkSpec {
   }
 
   test("parquet write/load round trip answers queries correctly") {
-    val dir = Files.createTempDirectory("rya").toString
-    RyaLike.writeTo(TestData.triples, dir)
     val loaded = RyaLike.loadFrom(spark, dir)
     TestData.oracleCheck(loaded.query(WatDivQueries.S7.query), WatDivQueries.S7.query)
   }
 
   test("the written store has all three index layouts") {
-    val dir = Files.createTempDirectory("rya2").toString
-    RyaLike.writeTo(TestData.triples, dir)
     for (idx <- Seq("spo", "pos", "osp"))
       assert(Files.exists(java.nio.file.Paths.get(s"$dir/$idx")), idx)
   }
 
   test("three index copies triple the footprint of one (Table 1 shape)") {
-    val dir = Files.createTempDirectory("rya3").toString
-    RyaLike.writeTo(TestData.triples, dir)
     val sizes = Seq("spo", "pos", "osp")
       .map(i => repro.util.Timing.dirBytes(java.nio.file.Paths.get(s"$dir/$i")))
     assert(sizes.forall(_ > 0))

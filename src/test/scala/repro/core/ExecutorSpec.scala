@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import java.nio.file.Files
 
 import repro.{Oracle, SparkSpec}
 import repro.rdf.TripleOps
@@ -35,7 +35,7 @@ class ExecutorSpec extends SparkSpec {
     ("u1", "ex:self", "u2"),
   ))
 
-  private lazy val db = Prost.loadInMemory(graph)
+  private lazy val db = Prost.writeTo(graph, Files.createTempDirectory("executor").toString)
 
   private def check(sparql: String): Unit = {
     val q = SparqlParser.parse(sparql)

@@ -8,8 +8,8 @@ import repro.watdiv.WatDivQueries
 /** The on-disk loading phase: write VP + PT + stats, reopen, query. */
 class ProstPersistenceSpec extends SparkSpec {
 
-  private lazy val dir = Files.createTempDirectory("prost-db").toString
-  private lazy val persisted: ProstDb = Prost.writeTo(TestData.triples, dir)
+  private lazy val persisted: ProstDb = TestData.prost
+  private lazy val dir = { persisted; TestData.storeDir(Prost) }
 
   test("writeTo creates the vp, pt and stats artefacts") {
     persisted // force

@@ -1,15 +1,19 @@
 package repro.core
 
+import java.nio.file.Files
+
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
 import repro.{Oracle, SparkSpec}
+import repro.harness.BenchEnv
 import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, BgpSql, Iri, Lit, TriplePattern, Var}
 
 /** Property-based check: random conjunctive BGPs over a fixed small graph
-  * agree with DuckDB under both PRoST strategies. Complements the
-  * handcrafted cases in ExecutorSpec by searching the query space.
+  * agree with DuckDB on every engine: both PRoST strategies and the three
+  * baselines. Complements the handcrafted cases in ExecutorSpec by
+  * searching the query space.
   *
   * ScalaCheck generators are sampled with fixed seeds (the scalatest-plus
   * bridge is not on the classpath), so the cases are random-shaped but
@@ -28,7 +32,13 @@ class RandomBgpSpec extends SparkSpec {
     } yield (s, p, if (rnd.nextBoolean()) subjects(rnd.nextInt(12)) else s"lit${rnd.nextInt(5)}")
   })
 
-  private lazy val db = Prost.loadInMemory(graph)
+  /** Every engine's store of the graph, each written through `writeTo`. */
+  private lazy val engines: Map[String, Engine] = {
+    val dir = Files.createTempDirectory("random-bgp").toString
+    val all = BenchEnv.Systems.map(system => system.writeTo(graph, s"$dir/${system.name}"))
+    val vpOnly = all.collect { case db: ProstDb => db.vpOnlyEngine }
+    (all ++ vpOnly).map(e => e.name -> e).toMap
+  }
 
   private val genVar: Gen[Var] = Gen.oneOf("a", "b", "c", "d").map(Var(_))
   private val genTerm: Gen[repro.sparql.Term] = Gen.frequency(
@@ -52,26 +62,23 @@ class RandomBgpSpec extends SparkSpec {
   private def cases(count: Int): Seq[BgpQuery] =
     (1 to count).map(i => genQuery.pureApply(Gen.Parameters.default, Seed(i.toLong)))
 
-  test("random BGPs: mixed strategy agrees with DuckDB") {
-    cases(25).foreach { q =>
-      withClue(q.toString) {
-        Oracle.assertEquivalent(db.query(q, vpOnly = false), BgpSql.toSql(q), "triples" -> graph)
-      }
-    }
-  }
-
-  test("random BGPs: VP-only strategy agrees with DuckDB") {
-    cases(25).foreach { q =>
-      withClue(q.toString) {
-        Oracle.assertEquivalent(db.query(q, vpOnly = true), BgpSql.toSql(q), "triples" -> graph)
+  // Test label -> engine name.
+  for ((label, engine) <- Seq(
+      "mixed strategy" -> "PRoST", "VP-only strategy" -> "PRoST VP-only",
+      "SPARQLGX-like" -> "SPARQLGX", "S2RDF-like" -> "S2RDF", "Rya-like" -> "Rya")) {
+    test(s"random BGPs: $label agrees with DuckDB") {
+      cases(25).foreach { q =>
+        withClue(q.toString) {
+          Oracle.assertEquivalent(engines(engine).query(q), BgpSql.toSql(q), "triples" -> graph)
+        }
       }
     }
   }
 
   test("random BGPs: mixed and VP-only strategies agree with each other") {
     cases(25).foreach { q =>
-      val a = db.query(q, vpOnly = false).collect().map(_.toSeq.mkString("|")).sorted
-      val b = db.query(q, vpOnly = true).collect().map(_.toSeq.mkString("|")).sorted
+      val a = engines("PRoST").query(q).collect().map(_.toSeq.mkString("|")).sorted
+      val b = engines("PRoST VP-only").query(q).collect().map(_.toSeq.mkString("|")).sorted
       assert(a.sameElements(b), q.toString)
     }
   }

@@ -66,8 +66,20 @@ class StatsSpec extends SparkSpec {
 
   test("TSV round trip preserves every field") {
     val dir = java.nio.file.Files.createTempDirectory("stats").toString
-    Prost.writeStats(stats, s"$dir/stats.tsv")
-    val back = Prost.readStats(s"$dir/stats.tsv")
+    GraphStats.write(stats, s"$dir/stats.tsv")
+    val back = GraphStats.read(s"$dir/stats.tsv")
     assert(back == stats)
+  }
+
+  test("a corrupt stats file fails naming the file and the line") {
+    val path = java.nio.file.Files.createTempDirectory("stats").resolve("stats.tsv")
+    def readBack(content: String): String = {
+      java.nio.file.Files.writeString(path, content)
+      intercept[IllegalArgumentException](GraphStats.read(path.toString)).getMessage
+    }
+    val missingField = readBack("ex:p\t3\t2\t2\nex:q\t3\t3\n")
+    assert(missingField.contains(s"$path:2"), missingField)
+    val notANumber = readBack("ex:p\t3\tmany\t2\n")
+    assert(notANumber.contains(s"$path:1"), notANumber)
   }
 }

@@ -13,7 +13,11 @@ class VpStoreSpec extends SparkSpec {
     ("ex:a", "ex:q", "1"),
   ))
   private lazy val stats = GraphStats.compute(graph)
-  private lazy val store = VpStore.build(graph, stats)
+  private lazy val store = {
+    val dir = Files.createTempDirectory("vp").toString
+    VpStore.write(graph, stats, dir)
+    VpStore.load(spark, dir, stats.predicates)
+  }
 
   test("one table per predicate with the right rows") {
     assert(store.tableFor("ex:p").count() == 2)
